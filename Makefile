@@ -2,12 +2,12 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-sarif lint-debt test race race-live trace-smoke fuzz-smoke bench results quick scenarios examples check clean
+.PHONY: all build vet lint lint-sarif lint-debt test race race-live trace-smoke fuzz-smoke digests bench results quick scenarios examples check clean
 
 all: build vet lint test
 
 # Everything CI runs.
-check: build vet lint test race
+check: build vet lint test race digests
 
 build:
 	$(GO) build ./...
@@ -70,6 +70,15 @@ trace-smoke:
 	bin/aztrace summary bin/trace-smoke.jsonl | grep -q 'causal trees: complete'
 	bin/aztrace critpath -n 1 bin/trace-smoke.jsonl | tee bin/trace-smoke.txt | grep -q 'critical path'
 	test -s bin/trace-smoke.txt
+
+# Golden digest gate: the digest of every experiment and every example
+# scenario at quick scale must match testdata/digests-quick.txt. A change
+# meant to move a figure regenerates that file in the same commit.
+digests:
+	$(GO) build -o bin/azurebench ./cmd/azurebench
+	{ bin/azurebench -quick -digest -experiment all && \
+		bin/azurebench -quick -digest -scenario-dir examples/scenarios; } | grep '^digest' > bin/digests-quick.txt
+	diff testdata/digests-quick.txt bin/digests-quick.txt
 
 # One testing.B bench per paper table/figure plus engine micro-benches.
 # Writes a machine-readable baseline (BENCH_<date>.json) for diffing

@@ -13,7 +13,8 @@
 package queuestore
 
 import (
-	"fmt"
+	"cmp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -47,16 +48,22 @@ type Store struct {
 	popSeq uint64
 }
 
+// A queue keeps its messages in insertion order, so their seq values are
+// strictly increasing. minExpires is a lower bound on every resident
+// message's expiry: reap has nothing to do while it lies in the future.
+// Deletes may leave it stale-low, which only costs one extra scan.
 type queue struct {
-	name     string
-	created  time.Time
-	metadata map[string]string
-	msgs     []*message
-	nextID   uint64
+	name       string
+	created    time.Time
+	metadata   map[string]string
+	msgs       []*message
+	nextID     uint64
+	minExpires time.Time
 }
 
 type message struct {
 	id           string
+	seq          uint64 // the <seq> of id "<queue>-msg-<seq>"
 	body         payload.Payload
 	inserted     time.Time
 	expires      time.Time
@@ -191,13 +198,14 @@ func (s *Store) Put(name string, body payload.Payload, ttl time.Duration) (Messa
 	now := s.clock.Now()
 	q.nextID++
 	m := &message{
-		id:          fmt.Sprintf("%s-msg-%d", name, q.nextID),
+		id:          messageID(name, q.nextID),
+		seq:         q.nextID,
 		body:        body,
 		inserted:    now,
 		expires:     now.Add(ttl),
 		nextVisible: now,
 	}
-	q.msgs = append(q.msgs, m)
+	q.push(m)
 	return m.view(), nil
 }
 
@@ -295,19 +303,16 @@ func (s *Store) Delete(name, msgID, popReceipt string) error {
 	if !ok {
 		return queueNotFound(name)
 	}
-	now := s.clock.Now()
-	s.reap(q, now)
-	for i, m := range q.msgs {
-		if m.id != msgID {
-			continue
-		}
-		if m.popReceipt == "" || m.popReceipt != popReceipt {
-			return storecommon.Errf(storecommon.CodePopReceiptMismatch, 400, "pop receipt mismatch for %q", msgID)
-		}
-		q.msgs = append(q.msgs[:i], q.msgs[i+1:]...)
-		return nil
+	s.reap(q, s.clock.Now())
+	i := q.find(msgID)
+	if i < 0 {
+		return messageNotFound(msgID)
 	}
-	return storecommon.Errf(storecommon.CodeMessageNotFound, 404, "message %q not found", msgID)
+	if m := q.msgs[i]; m.popReceipt == "" || m.popReceipt != popReceipt {
+		return storecommon.Errf(storecommon.CodePopReceiptMismatch, 400, "pop receipt mismatch for %q", msgID)
+	}
+	q.remove(i)
+	return nil
 }
 
 // ReplicaDelete removes a message by ID without a pop receipt. It exists
@@ -321,16 +326,13 @@ func (s *Store) ReplicaDelete(name, msgID string) error {
 	if !ok {
 		return queueNotFound(name)
 	}
-	now := s.clock.Now()
-	s.reap(q, now)
-	for i, m := range q.msgs {
-		if m.id != msgID {
-			continue
-		}
-		q.msgs = append(q.msgs[:i], q.msgs[i+1:]...)
-		return nil
+	s.reap(q, s.clock.Now())
+	i := q.find(msgID)
+	if i < 0 {
+		return messageNotFound(msgID)
 	}
-	return storecommon.Errf(storecommon.CodeMessageNotFound, 404, "message %q not found", msgID)
+	q.remove(i)
+	return nil
 }
 
 // ReplicaUpdate replaces a message body by ID without a pop receipt —
@@ -347,16 +349,13 @@ func (s *Store) ReplicaUpdate(name, msgID string, body payload.Payload) error {
 	if !ok {
 		return queueNotFound(name)
 	}
-	now := s.clock.Now()
-	s.reap(q, now)
-	for _, m := range q.msgs {
-		if m.id != msgID {
-			continue
-		}
-		m.body = body
-		return nil
+	s.reap(q, s.clock.Now())
+	i := q.find(msgID)
+	if i < 0 {
+		return messageNotFound(msgID)
 	}
-	return storecommon.Errf(storecommon.CodeMessageNotFound, 404, "message %q not found", msgID)
+	q.msgs[i].body = body
+	return nil
 }
 
 // Update replaces the body of a dequeued message and resets its visibility
@@ -380,20 +379,19 @@ func (s *Store) Update(name, msgID, popReceipt string, body payload.Payload, vis
 	}
 	now := s.clock.Now()
 	s.reap(q, now)
-	for _, m := range q.msgs {
-		if m.id != msgID {
-			continue
-		}
-		if m.popReceipt == "" || m.popReceipt != popReceipt {
-			return Message{}, storecommon.Errf(storecommon.CodePopReceiptMismatch, 400, "pop receipt mismatch for %q", msgID)
-		}
-		m.body = body
-		m.nextVisible = now.Add(visibility)
-		s.popSeq++
-		m.popReceipt = "pr-" + strconv.FormatUint(s.popSeq, 10)
-		return m.view(), nil
+	i := q.find(msgID)
+	if i < 0 {
+		return Message{}, messageNotFound(msgID)
 	}
-	return Message{}, storecommon.Errf(storecommon.CodeMessageNotFound, 404, "message %q not found", msgID)
+	m := q.msgs[i]
+	if m.popReceipt == "" || m.popReceipt != popReceipt {
+		return Message{}, storecommon.Errf(storecommon.CodePopReceiptMismatch, 400, "pop receipt mismatch for %q", msgID)
+	}
+	m.body = body
+	m.nextVisible = now.Add(visibility)
+	s.popSeq++
+	m.popReceipt = "pr-" + strconv.FormatUint(s.popSeq, 10)
+	return m.view(), nil
 }
 
 // ApproximateCount returns the approximate number of messages in the
@@ -431,11 +429,19 @@ func (s *Store) pickVisible(q *queue, now time.Time) *message {
 	return window[s.rng.Intn(len(window))]
 }
 
-// reap drops expired messages.
+// reap drops expired messages. It returns at once unless q.minExpires
+// says a message can have expired; a scan recomputes the watermark.
 func (s *Store) reap(q *queue, now time.Time) {
+	if q.minExpires.After(now) {
+		return
+	}
 	kept := q.msgs[:0]
+	var minExpires time.Time
 	for _, m := range q.msgs {
 		if m.expires.After(now) {
+			if len(kept) == 0 || m.expires.Before(minExpires) {
+				minExpires = m.expires
+			}
 			kept = append(kept, m)
 		}
 	}
@@ -443,6 +449,66 @@ func (s *Store) reap(q *queue, now time.Time) {
 		q.msgs[i] = nil
 	}
 	q.msgs = kept
+	q.minExpires = minExpires
+}
+
+// find returns the index of message msgID in q, or -1. Only an
+// engine-made "<queue>-msg-<seq>" ID can match: its seq is binary-searched
+// in the insertion-ordered slice, and the full-ID compare then rejects
+// other spellings of the same number, such as "<queue>-msg-007".
+func (q *queue) find(msgID string) int {
+	seq, ok := parseSeq(q.name, msgID)
+	if !ok {
+		return -1
+	}
+	i, found := slices.BinarySearchFunc(q.msgs, seq, func(m *message, seq uint64) int {
+		return cmp.Compare(m.seq, seq)
+	})
+	if !found || q.msgs[i].id != msgID {
+		return -1
+	}
+	return i
+}
+
+// push appends m, lowering the expiry watermark if m expires first.
+func (q *queue) push(m *message) {
+	if len(q.msgs) == 0 || m.expires.Before(q.minExpires) {
+		q.minExpires = m.expires
+	}
+	q.msgs = append(q.msgs, m)
+}
+
+// remove deletes q.msgs[i], shifting whichever side of it is shorter.
+func (q *queue) remove(i int) {
+	n := len(q.msgs)
+	if i < n/2 {
+		copy(q.msgs[1:i+1], q.msgs[:i])
+		q.msgs[0] = nil
+		q.msgs = q.msgs[1:]
+		return
+	}
+	copy(q.msgs[i:], q.msgs[i+1:])
+	q.msgs[n-1] = nil
+	q.msgs = q.msgs[:n-1]
+}
+
+const msgIDInfix = "-msg-"
+
+func messageID(queue string, seq uint64) string {
+	return queue + msgIDInfix + strconv.FormatUint(seq, 10)
+}
+
+// parseSeq returns the number in an ID of the form "<queue>-msg-<seq>".
+func parseSeq(queue, id string) (uint64, bool) {
+	rest, ok := strings.CutPrefix(id, queue)
+	if !ok {
+		return 0, false
+	}
+	if rest, ok = strings.CutPrefix(rest, msgIDInfix); !ok {
+		return 0, false
+	}
+	seq, err := strconv.ParseUint(rest, 10, 64)
+	return seq, err == nil
 }
 
 func (m *message) view() Message {
@@ -459,4 +525,8 @@ func (m *message) view() Message {
 
 func queueNotFound(name string) error {
 	return storecommon.Errf(storecommon.CodeQueueNotFound, 404, "queue %q not found", name)
+}
+
+func messageNotFound(msgID string) error {
+	return storecommon.Errf(storecommon.CodeMessageNotFound, 404, "message %q not found", msgID)
 }

@@ -1,6 +1,7 @@
 package queuestore
 
 import (
+	"fmt"
 	"sort"
 
 	"azurebench/internal/payload"
@@ -43,7 +44,9 @@ func (s *Store) Save(w *snap.Writer) {
 	}
 }
 
-// Load restores an account saved by Save, replacing all live state.
+// Load restores an account saved by Save, replacing all live state. The
+// per-message seq and the per-queue expiry watermark are not saved; Load
+// rebuilds them from each message's ID and expiry.
 func (s *Store) Load(r *snap.Reader) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -78,7 +81,12 @@ func (s *Store) Load(r *snap.Reader) error {
 			m.nextVisible = r.Time()
 			m.dequeueCount = r.Int()
 			m.popReceipt = r.String()
-			q.msgs = append(q.msgs, m)
+			if err := r.Err(); err != nil {
+				return err
+			}
+			if err := q.restore(m); err != nil {
+				return err
+			}
 		}
 		queues[q.name] = q
 	}
@@ -86,6 +94,20 @@ func (s *Store) Load(r *snap.Reader) error {
 		return err
 	}
 	s.queues = queues
+	return nil
+}
+
+// restore appends a loaded message to q, rebuilding its seq and q's
+// expiry watermark. It rejects an ID that Put could not have made for q
+// in this order, since find relies on IDs rising with position.
+func (q *queue) restore(m *message) error {
+	seq, ok := parseSeq(q.name, m.id)
+	if !ok || m.id != messageID(q.name, seq) || seq > q.nextID ||
+		(len(q.msgs) > 0 && seq <= q.msgs[len(q.msgs)-1].seq) {
+		return fmt.Errorf("%w: queue %q: message ID %q out of sequence", snap.ErrCorrupt, q.name, m.id)
+	}
+	m.seq = seq
+	q.push(m)
 	return nil
 }
 
