@@ -15,7 +15,7 @@ import (
 // the live state at the checkpoint instant matches what was captured.
 //
 // Why replay instead of loading mid-run state directly: the simulation's
-// processes are goroutines parked on channels, and goroutine stacks
+// processes are coroutines parked mid-function, and their stacks
 // cannot be serialized. A mid-run snapshot therefore records everything
 // *data* — engines, clocks, PRNG streams, counters, event-heap
 // fingerprint — and restore re-derives the *control* state (the parked

@@ -45,3 +45,56 @@ func BenchmarkRandUint64(b *testing.B) {
 		_ = r.Uint64()
 	}
 }
+
+// BenchmarkSignalBroadcast measures Signal wakes: one firer releases 64
+// waiters per round, and the waiters wait again on the next round's
+// signal. One op is one waiter woken.
+func BenchmarkSignalBroadcast(b *testing.B) {
+	b.ReportAllocs()
+	const waiters = 64
+	e := NewEnv(1)
+	rounds := b.N/waiters + 1
+	sigs := make([]*Signal, rounds)
+	for i := range sigs {
+		sigs[i] = NewSignal(e)
+	}
+	for w := 0; w < waiters; w++ {
+		e.Go("waiter", func(p *Proc) {
+			for _, s := range sigs {
+				s.Wait(p)
+			}
+		})
+	}
+	e.Go("firer", func(p *Proc) {
+		for _, s := range sigs {
+			p.Sleep(time.Microsecond)
+			s.Fire()
+		}
+	})
+	b.ResetTimer()
+	e.Run()
+}
+
+// BenchmarkStoreHandoff measures Store wakes: a producer and a consumer
+// ping-pong one item each way through two stores, so every Put hands the
+// item to a parked Get. One op is one handoff.
+func BenchmarkStoreHandoff(b *testing.B) {
+	b.ReportAllocs()
+	e := NewEnv(1)
+	ping := NewStore[int](e, "ping")
+	pong := NewStore[int](e, "pong")
+	n := b.N/2 + 1
+	e.Go("consumer", func(p *Proc) {
+		for i := 0; i < n; i++ {
+			pong.Put(ping.Get(p))
+		}
+	})
+	e.Go("producer", func(p *Proc) {
+		for i := 0; i < n; i++ {
+			ping.Put(i)
+			pong.Get(p)
+		}
+	})
+	b.ResetTimer()
+	e.Run()
+}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -258,18 +259,92 @@ func TestEventsCounter(t *testing.T) {
 
 func TestProcessPanicPropagatesToKernel(t *testing.T) {
 	e := NewEnv(1)
-	e.Go("bomber", func(p *Proc) {
+	bomber := e.Go("bomber", func(p *Proc) {
 		p.Sleep(time.Second)
 		panic("boom")
 	})
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("process panic did not reach Run's caller")
-		}
-		if s, ok := r.(string); !ok || s != `sim: process "bomber" panicked: boom` {
-			t.Fatalf("panic value = %v", r)
-		}
+	joinedAt := time.Duration(-1)
+	e.Go("joiner", func(p *Proc) {
+		p.Join(bomber)
+		joinedAt = p.Now()
+	})
+	func() {
+		defer func() {
+			r := recover()
+			if r == nil {
+				t.Fatal("process panic did not reach Run's caller")
+			}
+			if s, ok := r.(string); !ok || s != `sim: process "bomber" panicked: boom` {
+				t.Fatalf("panic value = %v", r)
+			}
+		}()
+		e.Run()
 	}()
+	if !bomber.Ended() {
+		t.Fatal("panicked process not marked ended")
+	}
+	if e.Live() != 1 {
+		t.Fatalf("Live after panic = %d, want 1 (the joiner)", e.Live())
+	}
+	// The panicked process's done signal fired, so the joiner resumes
+	// when the run continues.
 	e.Run()
+	if joinedAt != time.Second {
+		t.Fatalf("joiner resumed at %v, want 1s", joinedAt)
+	}
+	if e.Live() != 0 {
+		t.Fatalf("Live after second Run = %d, want 0", e.Live())
+	}
+}
+
+func TestGoexitInProcessDoesNotHangRun(t *testing.T) {
+	e := NewEnv(1)
+	quitter := e.Go("quitter", func(p *Proc) {
+		p.Sleep(time.Second)
+		runtime.Goexit() // what t.FailNow does
+	})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		e.Run()
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run hung after a process called runtime.Goexit")
+	}
+	if !quitter.Ended() || e.Live() != 0 {
+		t.Fatalf("after Goexit: Ended = %v, Live = %d; want true, 0", quitter.Ended(), e.Live())
+	}
+}
+
+func TestParkedForeverProcessLetsRunReturn(t *testing.T) {
+	e := NewEnv(1)
+	never := NewSignal(e)
+	waiter := e.Go("waiter", func(p *Proc) { never.Wait(p) })
+	e.Go("sleeper", func(p *Proc) { p.Sleep(time.Second) })
+	if got := e.Run(); got != time.Second {
+		t.Fatalf("Run returned at %v, want 1s", got)
+	}
+	if waiter.Ended() || e.Live() != 1 {
+		t.Fatalf("Ended = %v, Live = %d; want the waiter still parked", waiter.Ended(), e.Live())
+	}
+}
+
+func TestWakeAndFireEventsShareSequence(t *testing.T) {
+	e := NewEnv(1)
+	var order []string
+	e.Go("sleeper", func(p *Proc) {
+		e.OnTime(time.Second, func() { order = append(order, "fire-before") })
+		p.Sleep(time.Second) // a wake event, queued between the two fires
+		order = append(order, "wake")
+	})
+	e.Go("other", func(p *Proc) {
+		e.OnTime(time.Second, func() { order = append(order, "fire-after") })
+	})
+	e.Run()
+	want := []string{"fire-before", "wake", "fire-after"}
+	if fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
 }

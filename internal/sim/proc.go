@@ -5,13 +5,14 @@ import "time"
 // Proc is a cooperative simulation process. A Proc's methods that can block
 // (Sleep, Join, and the blocking methods of Resource, Store, Signal,
 // WaitGroup that take a *Proc) must only be called from the process's own
-// goroutine while it is the running process.
+// function while it is the running process.
 type Proc struct {
-	env    *Env
-	name   string
-	resume chan struct{}
-	done   *Signal
-	ended  bool
+	env   *Env
+	name  string
+	next  func() (struct{}, bool) // runs the coroutine until it parks or ends
+	yield func(struct{}) bool     // parks the coroutine; set when it starts
+	done  *Signal
+	ended bool
 }
 
 // Name returns the process name.
@@ -33,7 +34,7 @@ func (p *Proc) Sleep(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	p.env.schedule(p.env.now+d, func() { p.env.activate(p) })
+	p.env.wake(p.env.now+d, p)
 	p.park()
 }
 
@@ -51,9 +52,6 @@ func (p *Proc) Join(q *Proc) {
 func (p *Proc) Ended() bool { return p.ended }
 
 // park transfers control back to the kernel without scheduling a wake-up.
-// Something else (a resource grant, a signal, a timer event captured
-// before parking) must re-activate the process.
-func (p *Proc) park() {
-	p.env.yield <- struct{}{}
-	<-p.resume
-}
+// Something else (a resource grant, a signal, a wake event queued before
+// parking) must re-activate the process.
+func (p *Proc) park() { p.yield(struct{}{}) }

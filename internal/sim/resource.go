@@ -91,7 +91,7 @@ func (r *Resource) Release() {
 		r.waiters[len(r.waiters)-1] = nil
 		r.waiters = r.waiters[:len(r.waiters)-1]
 		// The unit transfers: inUse stays constant.
-		r.env.schedule(r.env.now, func() { r.env.activate(next) })
+		r.env.wake(r.env.now, next)
 		return
 	}
 	r.inUse--

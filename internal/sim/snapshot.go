@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"hash/crc64"
+	"slices"
 	"time"
 
 	"azurebench/internal/snapshot"
@@ -10,7 +11,7 @@ import (
 
 // OnTime schedules fn to run in kernel context at virtual time at. It is
 // the checkpoint hook: unlike Go, no process is spawned, so fn runs with
-// no live goroutine of its own and may observe — but must not mutate —
+// no coroutine of its own and may observe — but must not mutate —
 // simulation state. Scheduling the hook consumes one event sequence
 // number up front, which shifts every later event's tie-breaker
 // uniformly and therefore preserves the relative order of all other
@@ -26,8 +27,8 @@ func (e *Env) SnapshotSection() string { return "sim/env" }
 // Save appends the kernel state: virtual clock, event/sequence counters,
 // PRNG stream, process accounting, and a deterministic fingerprint of
 // the pending-event heap (count plus a CRC-64 over every (at, seq)
-// pair). Event closures themselves cannot be serialized — they close
-// over goroutine stacks — so restore either requires quiescence (empty
+// pair). Parked processes and event closures cannot be serialized — they
+// live on coroutine stacks — so restore either requires quiescence (empty
 // heap, direct Load) or replay verification, where this fingerprint
 // proves the replayed heap matches the checkpointed one.
 func (e *Env) Save(w *snapshot.Writer) {
@@ -81,11 +82,18 @@ func (e *Env) eventFingerprint() uint64 {
 	if len(e.events) == 0 {
 		return 0
 	}
-	// Copy event references and sort by (at, seq) — the heap slice order
-	// itself is a valid but non-canonical layout.
-	evs := make([]*event, len(e.events))
-	copy(evs, e.events)
-	sortEvents(evs)
+	// Sort a copy by (at, seq): the heap slice order itself is a valid but
+	// non-canonical layout.
+	evs := slices.Clone(e.events)
+	slices.SortFunc(evs, func(a, b event) int {
+		switch {
+		case a.before(&b):
+			return -1
+		case b.before(&a):
+			return 1
+		}
+		return 0
+	})
 	var buf [16]byte
 	crc := crc64.Update(0, eventCRCTable, nil)
 	for _, ev := range evs {
@@ -98,21 +106,6 @@ func (e *Env) eventFingerprint() uint64 {
 		crc = crc64.Update(crc, eventCRCTable, buf[:])
 	}
 	return crc
-}
-
-// sortEvents orders events by (at, seq) — insertion sort is fine for the
-// heap sizes snapshots see, and avoids pulling in package sort's
-// comparison indirection on the hot checkpoint path.
-func sortEvents(evs []*event) {
-	for i := 1; i < len(evs); i++ {
-		for j := i; j > 0; j-- {
-			a, b := evs[j-1], evs[j]
-			if a.at < b.at || (a.at == b.at && a.seq < b.seq) {
-				break
-			}
-			evs[j-1], evs[j] = b, a
-		}
-	}
 }
 
 // Save appends the station's utilisation state: the occupancy and the

@@ -49,7 +49,7 @@ func (s *Store[T]) Put(item T) {
 		s.waiters[len(s.waiters)-1] = nil
 		s.waiters = s.waiters[:len(s.waiters)-1]
 		w.item = item
-		s.env.schedule(s.env.now, func() { s.env.activate(w.p) })
+		s.env.wake(s.env.now, w.p)
 		return
 	}
 	s.items = append(s.items, item)
