@@ -39,9 +39,15 @@ lint-sarif: bin/azlint
 lint-debt: bin/azlint
 	bin/azlint -debt -baseline azlint.baseline ./...
 
-# Short native-fuzz smoke runs (go test -fuzz takes one package at a time).
+# Short native-fuzz smoke runs (go test -fuzz takes one package and one
+# target at a time). The wire-codec targets are differential: each
+# single-pass codec must agree with its encoding/json or encoding/xml
+# reference.
 fuzz-smoke:
-	$(GO) test -run='^$$' -fuzz=FuzzDecodeEntity -fuzztime=10s ./internal/odata
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeEntity$$' -fuzztime=10s ./internal/odata
+	$(GO) test -run='^$$' -fuzz='^FuzzEncodeEntity$$' -fuzztime=10s ./internal/odata
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeMessage$$' -fuzztime=10s ./internal/queuexml
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeMessageList$$' -fuzztime=10s ./internal/queuexml
 	$(GO) test -run='^$$' -fuzz=FuzzHistogramMerge -fuzztime=10s ./internal/metrics
 	$(GO) test -run='^$$' -fuzz=FuzzSnapshotCodec -fuzztime=10s ./internal/snapshot
 

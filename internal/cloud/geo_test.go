@@ -314,3 +314,60 @@ func must(t *testing.T, err error) {
 }
 
 var _ = fmt.Sprintf // keep fmt while the test set evolves
+
+// The geo mirror snapshots each entity when the request is built: a
+// caller mutating its entity (or batch) after the call returns must not
+// change what replays on the secondary.
+func TestGeoMirrorSnapshotsEntitiesAtCall(t *testing.T) {
+	env := sim.NewEnv(3)
+	g, err := NewGeoAccount(env, geoParams())
+	if err != nil {
+		t.Fatalf("NewGeoAccount: %v", err)
+	}
+	gc := g.NewGeoClient("writer", model.Small)
+	env.Go("writer", func(p *sim.Proc) {
+		cl := gc.Active()
+		must(t, cl.CreateTable(p, "orders"))
+		ins := &tablestore.Entity{PartitionKey: "p", RowKey: "ins",
+			Props: map[string]tablestore.Value{"V": tablestore.Int32(1)}}
+		upd := &tablestore.Entity{PartitionKey: "p", RowKey: "upd",
+			Props: map[string]tablestore.Value{"V": tablestore.Int32(1)}}
+		mrg := &tablestore.Entity{PartitionKey: "p", RowKey: "mrg",
+			Props: map[string]tablestore.Value{"V": tablestore.Int32(1)}}
+		bat := &tablestore.Entity{PartitionKey: "p", RowKey: "bat",
+			Props: map[string]tablestore.Value{"V": tablestore.Int32(1)}}
+		for _, e := range []*tablestore.Entity{ins, upd, mrg} {
+			if _, err := cl.InsertEntity(p, "orders", e); err != nil {
+				t.Errorf("InsertEntity %s: %v", e.RowKey, err)
+			}
+		}
+		ins.Props["V"] = tablestore.Int32(99)
+		upd.Props["V"] = tablestore.Int32(2)
+		if _, err := cl.UpdateEntity(p, "orders", upd, "*"); err != nil {
+			t.Errorf("UpdateEntity: %v", err)
+		}
+		upd.Props["V"] = tablestore.Int32(99)
+		mrg.Props["V"] = tablestore.Int32(2)
+		if _, err := cl.MergeEntity(p, "orders", mrg, "*"); err != nil {
+			t.Errorf("MergeEntity: %v", err)
+		}
+		mrg.Props["V"] = tablestore.Int32(99)
+		if _, err := cl.ExecuteBatch(p, "orders", []tablestore.BatchOp{{Kind: tablestore.BatchInsert, Entity: bat}}); err != nil {
+			t.Errorf("ExecuteBatch: %v", err)
+		}
+		bat.Props["V"] = tablestore.Int32(99)
+	})
+	env.Run()
+
+	sec := g.Secondary()
+	for rk, want := range map[string]int64{"ins": 1, "upd": 2, "mrg": 2, "bat": 1} {
+		e, err := sec.Table.Get("orders", "p", rk)
+		if err != nil {
+			t.Errorf("secondary %s: %v", rk, err)
+			continue
+		}
+		if got := e.Props["V"].I; got != want {
+			t.Errorf("secondary %s V = %d, want %d (caller mutation leaked into the replay)", rk, got, want)
+		}
+	}
+}

@@ -87,9 +87,9 @@ func (cl *Client) InsertEntity(p *sim.Proc, tableName string, e *tablestore.Enti
 		repl:      cl.cloud.prm.ReplCost(),
 		lat:       cl.cloud.prm.TableLat(model.TInsert),
 		geoKey:    tableName,
-		// The clone snapshots the entity at commit time; the secondary
+		// The clone snapshots the entity when the call is made; the secondary
 		// assigns its own ETag when the record replays.
-		mirror: mirrorEntity(e, func(dst *Cloud, c *tablestore.Entity) error {
+		mirror: cl.mirrorEntity(e, func(dst *Cloud, c *tablestore.Entity) error {
 			_, err := dst.Table.Insert(tableName, c)
 			return err
 		}),
@@ -149,7 +149,7 @@ func (cl *Client) UpdateEntity(p *sim.Proc, tableName string, e *tablestore.Enti
 		geoKey:    tableName,
 		// ETag preconditions were already checked on the primary; the
 		// replay applies unconditionally ("*").
-		mirror: mirrorEntity(e, func(dst *Cloud, c *tablestore.Entity) error {
+		mirror: cl.mirrorEntity(e, func(dst *Cloud, c *tablestore.Entity) error {
 			_, err := dst.Table.Replace(tableName, c, "*")
 			return err
 		}),
@@ -179,7 +179,7 @@ func (cl *Client) MergeEntity(p *sim.Proc, tableName string, e *tablestore.Entit
 		repl:      cl.cloud.prm.ReplCost(),
 		lat:       cl.cloud.prm.TableLat(model.TUpdate),
 		geoKey:    tableName,
-		mirror: mirrorEntity(e, func(dst *Cloud, c *tablestore.Entity) error {
+		mirror: cl.mirrorEntity(e, func(dst *Cloud, c *tablestore.Entity) error {
 			_, err := dst.Table.Merge(tableName, c, "*")
 			return err
 		}),
@@ -278,7 +278,7 @@ func (cl *Client) ExecuteBatch(p *sim.Proc, tableName string, ops []tablestore.B
 		txCost:    float64(len(ops)),
 		lat:       cl.cloud.prm.TableLat(model.TInsert),
 		geoKey:    tableName,
-		mirror:    mirrorBatch(tableName, ops),
+		mirror:    cl.mirrorBatch(tableName, ops),
 		apply: func() (time.Duration, int64, error) {
 			var err error
 			failed, err = cl.cloud.Table.ExecuteBatch(tableName, ops)
@@ -288,18 +288,26 @@ func (cl *Client) ExecuteBatch(p *sim.Proc, tableName string, ops []tablestore.B
 	return failed, err
 }
 
-// mirrorEntity builds a replication closure over a commit-time snapshot
-// of e, so later caller-side mutation of the entity cannot leak into the
-// replayed record.
-func mirrorEntity(e *tablestore.Entity, replay func(dst *Cloud, c *tablestore.Entity) error) func(*Cloud) error {
+// mirrorEntity builds a replication closure over a snapshot of e taken
+// when the request is built, so later caller-side mutation of the entity
+// cannot leak into the replayed record. With no geo stream attached do
+// never replays, so it returns nil and clones nothing.
+func (cl *Client) mirrorEntity(e *tablestore.Entity, replay func(dst *Cloud, c *tablestore.Entity) error) func(*Cloud) error {
+	if cl.cloud.geo == nil {
+		return nil
+	}
 	c := e.Clone()
 	return func(dst *Cloud) error { return replay(dst, c) }
 }
 
 // mirrorBatch snapshots an entity-group transaction for replay on the
 // secondary: entities are cloned and ETag conditions relaxed to "*" (the
-// primary already enforced them).
-func mirrorBatch(tableName string, ops []tablestore.BatchOp) func(*Cloud) error {
+// primary already enforced them). Like mirrorEntity it returns nil while
+// no geo stream is attached.
+func (cl *Client) mirrorBatch(tableName string, ops []tablestore.BatchOp) func(*Cloud) error {
+	if cl.cloud.geo == nil {
+		return nil
+	}
 	replayOps := make([]tablestore.BatchOp, len(ops))
 	for i, op := range ops {
 		replayOps[i] = tablestore.BatchOp{Kind: op.Kind, Entity: op.Entity.Clone()}

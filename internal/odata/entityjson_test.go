@@ -114,3 +114,58 @@ func sanitizeKey(s string) string {
 	}
 	return b.String()
 }
+
+// The single-pass decoder must take encoder output of the common shape
+// itself rather than defer it: a silent fall back to encoding/json is
+// correct but slow.
+func TestSinglePassDecodesEncoderOutput(t *testing.T) {
+	for _, e := range []*tablestore.Entity{liveEntity(), {PartitionKey: "p", RowKey: "r"}, {
+		PartitionKey: `quote"back\slash`,
+		RowKey:       "tab\tnew\nline",
+		Props: map[string]tablestore.Value{
+			"S": tablestore.String("text"), "B": tablestore.Bool(false), "I": tablestore.Int32(-7),
+			"L": tablestore.Int64(-1 << 63), "D": tablestore.Double(-2.5e-10),
+			"T": tablestore.DateTime(time.Date(2000, 1, 1, 0, 0, 0, 1, time.UTC)),
+			"G": tablestore.GUID("0f8fad5b-d9cb-469f-a165-70867728950e"),
+		},
+	}} {
+		raw, err := EncodeEntity(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, ok := decodeFlat(raw)
+		if !ok {
+			t.Fatalf("decodeFlat deferred on encoder output %s", raw)
+		}
+		want, err := decodeEntityReference(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if diff := entityDiff(got, want); diff != "" {
+			t.Errorf("decodeFlat differs from the reference: %s\ninput: %s", diff, raw)
+		}
+	}
+}
+
+// Property names that collide with a system member or an annotation take
+// the reference encoder, whose output the single-pass one cannot order.
+func TestEncodeEntityCollisionsUseReference(t *testing.T) {
+	for _, props := range []map[string]tablestore.Value{
+		{"RowKey": tablestore.String("shadow")},
+		{"x@odata.type": tablestore.String("Edm.Int32"), "y": tablestore.Int32(1)},
+		{"odata.etag": tablestore.Int64(3)},
+	} {
+		e := &tablestore.Entity{PartitionKey: "p", RowKey: "r", ETag: "t", Props: props}
+		got, err := EncodeEntity(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := encodeEntityReference(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Errorf("EncodeEntity = %s, reference %s", got, want)
+		}
+	}
+}

@@ -2,19 +2,25 @@ package odata
 
 import (
 	"bytes"
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 	"time"
 
 	"azurebench/internal/payload"
+	"azurebench/internal/storecommon"
 	"azurebench/internal/tablestore"
 )
 
-// FuzzDecodeEntity feeds arbitrary bytes to the wire decoder and checks
-// the canonical-form invariant on everything it accepts: encoding a
-// decoded entity must reach a fixed point in one step. DecodeEntity is
-// the REST emulator's parse path for client-supplied JSON, so it must
-// never panic, and whatever it accepts must survive a store/reload
-// round-trip byte-for-byte (entities are persisted in encoded form).
+// FuzzDecodeEntity feeds arbitrary bytes to the wire decoder. It must
+// agree with the encoding/json reference decoder: the same accept/reject
+// result, the same error code and an equal entity. On everything it
+// accepts it checks the canonical-form invariant: encoding a decoded
+// entity must reach a fixed point in one step. DecodeEntity is the REST
+// emulator's parse path for client-supplied JSON, so it must never panic,
+// and whatever it accepts must survive a store/reload round-trip
+// byte-for-byte (entities are persisted in encoded form).
 func FuzzDecodeEntity(f *testing.F) {
 	// Seed with one entity exercising every EDM type, plus hand-written
 	// wire forms covering the inference and annotation paths.
@@ -45,11 +51,25 @@ func FuzzDecodeEntity(f *testing.F) {
 	f.Add([]byte(`{"PartitionKey":"p","RowKey":"r","Timestamp":"2020-02-29T23:59:59.5Z"}`))
 	f.Add([]byte(`{"odata.etag":"abc","bin":"AAE=","bin@odata.type":"Edm.Binary"}`))
 	f.Add([]byte(`{"bad@odata.type":"Edm.Nope","bad":1}`))
+	f.Add([]byte(` {"PartitionKey" : "a\"b\\c\/d\n" , "RowKey":"r","odata.etag":"t","odata.etag":5} `))
+	f.Add([]byte(`{"PartitionKey":"p","RowKey":"r","x":-0.5e-3,"x@odata.type":"Edm.Double","x@odata.type":"Edm.Int64"}`))
+	f.Add([]byte(`{"PartitionKey":"p","RowKey":"r","n":true,"m":false,"z":-0,"big":1e400}`))
+	f.Add([]byte(`{"PartitionKey":"p","RowKey":"r","u":"\u00e9","nul":null,"arr":[1]}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e, err := DecodeEntity(data)
+		ref, refErr := decodeEntityReference(data)
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("DecodeEntity err = %v, reference err = %v\ninput: %q", err, refErr, data)
+		}
 		if err != nil {
+			if storecommon.CodeOf(err) != storecommon.CodeOf(refErr) || storecommon.StatusOf(err) != storecommon.StatusOf(refErr) {
+				t.Fatalf("error %v, reference error %v\ninput: %q", err, refErr, data)
+			}
 			return // rejected input: only the no-panic guarantee applies
+		}
+		if diff := entityDiff(e, ref); diff != "" {
+			t.Fatalf("DecodeEntity differs from the reference: %s\ninput: %q", diff, data)
 		}
 		raw, err := EncodeEntity(e)
 		if err != nil {
@@ -67,4 +87,70 @@ func FuzzDecodeEntity(f *testing.F) {
 			t.Fatalf("encoding is not canonical after one round-trip:\nfirst:  %s\nsecond: %s\ninput:  %q", raw, raw2, data)
 		}
 	})
+}
+
+// FuzzEncodeEntity builds entities from fuzzed names and values and
+// requires EncodeEntity to write the same bytes, or the same error, as
+// the json.Marshal reference.
+func FuzzEncodeEntity(f *testing.F) {
+	f.Add("p", "r", "name", "a", "text", 1.5, int64(7), []byte{1, 2, 3}, int64(0))
+	f.Add("p\"<>&", "r\x01\xff", "a@", "a@odata.typf", "\u2028é", -0.0, int64(-1<<63), []byte{}, int64(1e18))
+	f.Add("", "", "", "a", "x", 1e21, int64(1<<31), []byte(nil), int64(-5))
+	f.Add("pk", "rk", "d", "e", "", 1e-7, int64(0), []byte("xyz"), int64(123456789))
+	f.Fuzz(func(t *testing.T, pk, rk, n1, n2, s string, fl float64, i int64, bin []byte, ts int64) {
+		e := &tablestore.Entity{
+			PartitionKey: pk,
+			RowKey:       rk,
+			Timestamp:    time.Unix(0, ts).UTC(),
+			ETag:         s,
+			Props: map[string]tablestore.Value{
+				n1:        tablestore.String(s),
+				n1 + "x":  tablestore.Double(fl),
+				n1 + "@":  tablestore.Int64(i),
+				n1 + "~":  tablestore.Int32(int32(i)),
+				n2:        tablestore.Binary(payload.Bytes(bin)),
+				n2 + "a":  tablestore.Bool(i%2 == 0),
+				n2 + "b":  tablestore.GUID(s),
+				n2 + "\n": tablestore.DateTime(time.Unix(i%(1<<35), ts%1e9)),
+			},
+		}
+		for name := range e.Props {
+			switch name {
+			case "PartitionKey", "RowKey", "Timestamp", "odata.etag":
+				return // the reference output depends on map order
+			}
+			if strings.HasSuffix(name, annotationSuffix) {
+				return
+			}
+		}
+		got, err := EncodeEntity(e)
+		want, wantErr := encodeEntityReference(e)
+		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+			t.Fatalf("EncodeEntity err = %v, reference err = %v", err, wantErr)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("EncodeEntity differs from the reference:\ngot:  %s\nwant: %s", got, want)
+		}
+	})
+}
+
+// entityDiff describes how two decoded entities differ ("" when equal).
+func entityDiff(a, b *tablestore.Entity) string {
+	switch {
+	case a.PartitionKey != b.PartitionKey || a.RowKey != b.RowKey:
+		return fmt.Sprintf("keys %q/%q vs %q/%q", a.PartitionKey, a.RowKey, b.PartitionKey, b.RowKey)
+	case !a.Timestamp.Equal(b.Timestamp) || a.Timestamp.String() != b.Timestamp.String():
+		return fmt.Sprintf("timestamp %v vs %v", a.Timestamp, b.Timestamp)
+	case a.ETag != b.ETag:
+		return fmt.Sprintf("etag %q vs %q", a.ETag, b.ETag)
+	case len(a.Props) != len(b.Props):
+		return fmt.Sprintf("%d props vs %d", len(a.Props), len(b.Props))
+	}
+	for name, av := range a.Props {
+		bv, ok := b.Props[name]
+		if !ok || !av.Equal(bv) || (av.Type == tablestore.TypeDouble && math.Signbit(av.F) != math.Signbit(bv.F)) {
+			return fmt.Sprintf("prop %q: %#v vs %#v", name, av, bv)
+		}
+	}
+	return ""
 }

@@ -173,6 +173,16 @@ func (p Payload) Materialize() []byte {
 	return out
 }
 
+// View returns the payload's content for reading. A payload made by Bytes
+// returns its own slice without a copy, so the caller must not modify
+// it; any other payload is materialized.
+func (p Payload) View() []byte {
+	if p.k == kindBytes {
+		return p.data
+	}
+	return p.Materialize()
+}
+
 func (p Payload) render(out []byte) {
 	switch p.k {
 	case kindZero:

@@ -29,6 +29,18 @@ func TestBytesRoundTrip(t *testing.T) {
 	}
 }
 
+func TestViewMatchesMaterialize(t *testing.T) {
+	in := []byte("hello, azure")
+	if v := Bytes(in).View(); &v[0] != &in[0] || !bytes.Equal(v, in) {
+		t.Fatal("View of a Bytes payload is not its own slice")
+	}
+	for _, p := range []Payload{Zero(5), Synthetic(3, 40), Concat(Bytes(in), Synthetic(1, 7)), Bytes(nil)} {
+		if !bytes.Equal(p.View(), p.Materialize()) {
+			t.Fatalf("View differs from Materialize for %v bytes", p.Len())
+		}
+	}
+}
+
 func TestSyntheticDeterministic(t *testing.T) {
 	a := Synthetic(42, 1000).Materialize()
 	b := Synthetic(42, 1000).Materialize()

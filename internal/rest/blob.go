@@ -1,7 +1,9 @@
 package rest
 
 import (
+	"bytes"
 	"encoding/xml"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -125,12 +127,36 @@ func (s *Server) handleBlobObject(w http.ResponseWriter, r *http.Request, contai
 	}
 }
 
-func readBody(r *http.Request) (payload.Payload, error) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
+func readBody(w http.ResponseWriter, r *http.Request) (payload.Payload, error) {
+	body, err := readLimited(w, r, maxBodyBytes)
 	if err != nil {
-		return payload.Payload{}, storecommon.Errf(storecommon.CodeInvalidInput, 400, "reading body: %v", err)
+		return payload.Payload{}, err
 	}
 	return payload.Bytes(body), nil
+}
+
+// readLimited reads a request body of at most limit bytes. A longer body
+// is rejected with 413 RequestBodyTooLarge, as the service does, rather
+// than cut short to fail its parse; a declared Content-Length over the
+// limit is rejected before any of the body is read.
+func readLimited(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+	var buf *bytes.Buffer
+	var err error
+	var tooLong *http.MaxBytesError
+	if r.ContentLength <= limit {
+		// A declared length sizes the buffer once; the spare MinRead
+		// bytes let ReadFrom reach EOF without growing it.
+		buf = bytes.NewBuffer(make([]byte, 0, max(r.ContentLength, 0)+bytes.MinRead))
+		_, err = buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit))
+	}
+	if r.ContentLength > limit || errors.As(err, &tooLong) {
+		return nil, storecommon.Errf(storecommon.CodeRequestBodyTooLarge, http.StatusRequestEntityTooLarge,
+			"request body exceeds %d bytes", limit)
+	}
+	if err != nil {
+		return nil, storecommon.Errf(storecommon.CodeInvalidInput, 400, "reading body: %v", err)
+	}
+	return buf.Bytes(), nil
 }
 
 func (s *Server) putBlob(w http.ResponseWriter, r *http.Request, container, blob string) {
@@ -152,7 +178,7 @@ func (s *Server) putBlob(w http.ResponseWriter, r *http.Request, container, blob
 		w.Header().Set("ETag", props.ETag)
 		w.WriteHeader(http.StatusCreated)
 	case "BlockBlob", "":
-		data, err := readBody(r)
+		data, err := readBody(w, r)
 		if err != nil {
 			writeError(w, err)
 			return
@@ -173,7 +199,7 @@ func (s *Server) putBlob(w http.ResponseWriter, r *http.Request, container, blob
 }
 
 func (s *Server) putBlock(w http.ResponseWriter, r *http.Request, container, blob, blockID string) {
-	data, err := readBody(r)
+	data, err := readBody(w, r)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -194,9 +220,9 @@ type blockListXML struct {
 }
 
 func (s *Server) putBlockList(w http.ResponseWriter, r *http.Request, container, blob string) {
-	raw, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
+	raw, err := readLimited(w, r, maxBodyBytes)
 	if err != nil {
-		writeError(w, storecommon.Errf(storecommon.CodeInvalidInput, 400, "reading body: %v", err))
+		writeError(w, err)
 		return
 	}
 	// Element order matters in a block list; decode token-by-token.
@@ -290,7 +316,7 @@ func (s *Server) putPage(w http.ResponseWriter, r *http.Request, container, blob
 			return
 		}
 	default: // "update"
-		data, err := readBody(r)
+		data, err := readBody(w, r)
 		if err != nil {
 			writeError(w, err)
 			return

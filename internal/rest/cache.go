@@ -1,7 +1,6 @@
 package rest
 
 import (
-	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -47,9 +46,9 @@ func (s *Server) handleCacheItem(w http.ResponseWriter, r *http.Request, cache, 
 	q := r.URL.Query()
 	switch r.Method {
 	case http.MethodPut:
-		body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
+		body, err := readLimited(w, r, maxBodyBytes)
 		if err != nil {
-			writeError(w, storecommon.Errf(storecommon.CodeInvalidInput, 400, "reading body: %v", err))
+			writeError(w, err)
 			return
 		}
 		ttl := time.Duration(intOr(q.Get("ttl"), 0)) * time.Second

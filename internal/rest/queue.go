@@ -1,15 +1,14 @@
 package rest
 
 import (
-	"encoding/base64"
 	"encoding/xml"
-	"io"
 	"net/http"
 	"strconv"
 	"time"
 
 	"azurebench/internal/payload"
 	"azurebench/internal/queuestore"
+	"azurebench/internal/queuexml"
 	"azurebench/internal/storecommon"
 )
 
@@ -80,28 +79,6 @@ type queueListXML struct {
 	Queues  []string `xml:"Queues>Queue>Name"`
 }
 
-// queueMessageXML is the Put/Update Message body.
-type queueMessageXML struct {
-	XMLName     xml.Name `xml:"QueueMessage"`
-	MessageText string   `xml:"MessageText"`
-}
-
-// queueMessagesListXML is the Get/Peek Messages response.
-type queueMessagesListXML struct {
-	XMLName  xml.Name          `xml:"QueueMessagesList"`
-	Messages []queueMessageOut `xml:"QueueMessage"`
-}
-
-type queueMessageOut struct {
-	MessageID       string `xml:"MessageId"`
-	InsertionTime   string `xml:"InsertionTime"`
-	ExpirationTime  string `xml:"ExpirationTime"`
-	PopReceipt      string `xml:"PopReceipt,omitempty"`
-	TimeNextVisible string `xml:"TimeNextVisible,omitempty"`
-	DequeueCount    int    `xml:"DequeueCount"`
-	MessageText     string `xml:"MessageText"`
-}
-
 func (s *Server) handleQueueMessages(w http.ResponseWriter, r *http.Request, name, sub string) {
 	q := r.URL.Query()
 	switch {
@@ -116,7 +93,7 @@ func (s *Server) handleQueueMessages(w http.ResponseWriter, r *http.Request, nam
 			writeError(w, err)
 			return
 		}
-		writeXML(w, http.StatusOK, messagesOut(msgs))
+		writeMessageList(w, msgs)
 	case sub == "messages" && r.Method == http.MethodGet:
 		max := intOr(q.Get("numofmessages"), 1)
 		vis := time.Duration(intOr(q.Get("visibilitytimeout"), 0)) * time.Second
@@ -127,7 +104,7 @@ func (s *Server) handleQueueMessages(w http.ResponseWriter, r *http.Request, nam
 			writeError(w, err)
 			return
 		}
-		writeXML(w, http.StatusOK, messagesOut(msgs))
+		writeMessageList(w, msgs)
 	case sub == "messages" && r.Method == http.MethodDelete:
 		if err := engineDo(r, func() error { return s.Queue.ClearMessages(name) }); err != nil {
 			writeError(w, err)
@@ -143,7 +120,7 @@ func (s *Server) handleQueueMessages(w http.ResponseWriter, r *http.Request, nam
 		w.WriteHeader(http.StatusNoContent)
 	case r.Method == http.MethodPut: // messages/{id}: Update Message
 		id := sub[len("messages/"):]
-		body, err := decodeMessageBody(r)
+		body, err := decodeMessageBody(w, r)
 		if err != nil {
 			writeError(w, err)
 			return
@@ -165,7 +142,7 @@ func (s *Server) handleQueueMessages(w http.ResponseWriter, r *http.Request, nam
 }
 
 func (s *Server) putMessage(w http.ResponseWriter, r *http.Request, name string) {
-	body, err := decodeMessageBody(r)
+	body, err := decodeMessageBody(w, r)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -178,36 +155,22 @@ func (s *Server) putMessage(w http.ResponseWriter, r *http.Request, name string)
 	w.WriteHeader(http.StatusCreated)
 }
 
-func decodeMessageBody(r *http.Request) (payload.Payload, error) {
-	raw, err := io.ReadAll(io.LimitReader(r.Body, 2*storecommon.MaxMessageSize))
+func decodeMessageBody(w http.ResponseWriter, r *http.Request) (payload.Payload, error) {
+	raw, err := readLimited(w, r, 2*storecommon.MaxMessageSize)
 	if err != nil {
-		return payload.Payload{}, storecommon.Errf(storecommon.CodeInvalidInput, 400, "reading body: %v", err)
+		return payload.Payload{}, err
 	}
-	var msg queueMessageXML
-	if err := xml.Unmarshal(raw, &msg); err != nil {
-		return payload.Payload{}, storecommon.Errf(storecommon.CodeInvalidInput, 400, "bad message XML: %v", err)
-	}
-	data, err := base64.StdEncoding.DecodeString(msg.MessageText)
+	data, err := queuexml.DecodeMessage(raw)
 	if err != nil {
-		return payload.Payload{}, storecommon.Errf(storecommon.CodeInvalidInput, 400, "message text is not base64: %v", err)
+		return payload.Payload{}, err
 	}
 	return payload.Bytes(data), nil
 }
 
-func messagesOut(msgs []queuestore.Message) queueMessagesListXML {
-	var out queueMessagesListXML
-	for _, m := range msgs {
-		out.Messages = append(out.Messages, queueMessageOut{
-			MessageID:       m.ID,
-			InsertionTime:   m.Inserted.UTC().Format(http.TimeFormat),
-			ExpirationTime:  m.Expires.UTC().Format(http.TimeFormat),
-			PopReceipt:      m.PopReceipt,
-			TimeNextVisible: m.NextVisible.UTC().Format(http.TimeFormat),
-			DequeueCount:    m.DequeueCount,
-			MessageText:     base64.StdEncoding.EncodeToString(m.Body.Materialize()),
-		})
-	}
-	return out
+func writeMessageList(w http.ResponseWriter, msgs []queuestore.Message) {
+	w.Header().Set("Content-Type", "application/xml")
+	w.WriteHeader(http.StatusOK)
+	w.Write(queuexml.EncodeMessageList(msgs))
 }
 
 func intOr(s string, def int) int {

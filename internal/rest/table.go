@@ -117,7 +117,7 @@ func (s *Server) handleEntities(w http.ResponseWriter, r *http.Request, resource
 	}
 	switch r.Method {
 	case http.MethodPost: // Insert
-		e, err := readEntity(r)
+		e, err := readEntity(w, r)
 		if err != nil {
 			writeError(w, err)
 			return
@@ -178,7 +178,7 @@ func (s *Server) handleEntityByKey(w http.ResponseWriter, r *http.Request, table
 		w.Header().Set("ETag", e.ETag)
 		writeEntityJSON(w, http.StatusOK, e)
 	case http.MethodPut: // Replace (or InsertOrReplace when no If-Match)
-		e, err := readEntity(r)
+		e, err := readEntity(w, r)
 		if err != nil {
 			writeError(w, err)
 			return
@@ -199,7 +199,7 @@ func (s *Server) handleEntityByKey(w http.ResponseWriter, r *http.Request, table
 		w.Header().Set("ETag", stored.ETag)
 		w.WriteHeader(http.StatusNoContent)
 	case "MERGE": // Merge (or InsertOrMerge when no If-Match)
-		e, err := readEntity(r)
+		e, err := readEntity(w, r)
 		if err != nil {
 			writeError(w, err)
 			return
@@ -235,10 +235,10 @@ func (s *Server) handleEntityByKey(w http.ResponseWriter, r *http.Request, table
 	}
 }
 
-func readEntity(r *http.Request) (*tablestore.Entity, error) {
-	raw, err := io.ReadAll(io.LimitReader(r.Body, 2*storecommon.MaxEntitySize))
+func readEntity(w http.ResponseWriter, r *http.Request) (*tablestore.Entity, error) {
+	raw, err := readLimited(w, r, 2*storecommon.MaxEntitySize)
 	if err != nil {
-		return nil, storecommon.Errf(storecommon.CodeInvalidInput, 400, "reading body: %v", err)
+		return nil, err
 	}
 	return odata.DecodeEntity(raw)
 }

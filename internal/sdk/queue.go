@@ -1,13 +1,14 @@
 package sdk
 
 import (
-	"encoding/base64"
 	"encoding/xml"
 	"fmt"
 	"net/http"
 	"net/url"
 	"strconv"
 	"time"
+
+	"azurebench/internal/queuexml"
 )
 
 // QueueClient talks to the queue service.
@@ -16,13 +17,7 @@ type QueueClient struct {
 }
 
 // Message is a dequeued or peeked queue message.
-type Message struct {
-	ID           string
-	Body         []byte
-	PopReceipt   string
-	DequeueCount int
-	NextVisible  time.Time
-}
+type Message = queuexml.Message
 
 // Create creates a queue.
 func (q *QueueClient) Create(name string) error {
@@ -55,26 +50,17 @@ func (q *QueueClient) List(prefix string) ([]string, error) {
 	return out.Queues, nil
 }
 
-type queueMessageXML struct {
-	XMLName     xml.Name `xml:"QueueMessage"`
-	MessageText string   `xml:"MessageText"`
-}
-
 // Put inserts a message (ttl 0 means the service maximum, one week).
 func (q *QueueClient) Put(name string, body []byte, ttl time.Duration) error {
-	msg, err := xml.Marshal(queueMessageXML{MessageText: base64.StdEncoding.EncodeToString(body)})
-	if err != nil {
-		return err
-	}
 	vals := url.Values{}
 	if ttl > 0 {
 		vals.Set("messagettl", strconv.Itoa(int(ttl.Seconds())))
 	}
-	_, err = q.c.do(request{op: "Put",
+	_, err := q.c.do(request{op: "Put",
 		method: http.MethodPost,
 		path:   "/queue/" + esc(name) + "/messages",
 		query:  vals,
-		body:   msg,
+		body:   queuexml.EncodeMessage(body),
 	})
 	return err
 }
@@ -103,32 +89,9 @@ func (q *QueueClient) fetch(name string, vals url.Values) ([]Message, error) {
 	if err != nil {
 		return nil, err
 	}
-	var out struct {
-		Messages []struct {
-			MessageID       string `xml:"MessageId"`
-			PopReceipt      string `xml:"PopReceipt"`
-			DequeueCount    int    `xml:"DequeueCount"`
-			TimeNextVisible string `xml:"TimeNextVisible"`
-			MessageText     string `xml:"MessageText"`
-		} `xml:"QueueMessage"`
-	}
-	if err := xml.Unmarshal(resp.body, &out); err != nil {
+	msgs, err := queuexml.DecodeMessageList(resp.body)
+	if err != nil {
 		return nil, fmt.Errorf("sdk: bad message list: %w", err)
-	}
-	var msgs []Message
-	for _, m := range out.Messages {
-		body, err := base64.StdEncoding.DecodeString(m.MessageText)
-		if err != nil {
-			return nil, fmt.Errorf("sdk: bad message text: %w", err)
-		}
-		nv, _ := time.Parse(http.TimeFormat, m.TimeNextVisible)
-		msgs = append(msgs, Message{
-			ID:           m.MessageID,
-			Body:         body,
-			PopReceipt:   m.PopReceipt,
-			DequeueCount: m.DequeueCount,
-			NextVisible:  nv,
-		})
 	}
 	return msgs, nil
 }
@@ -146,10 +109,6 @@ func (q *QueueClient) DeleteMessage(name, msgID, popReceipt string) error {
 // Update replaces a dequeued message's body and visibility; it returns
 // the new pop receipt.
 func (q *QueueClient) Update(name, msgID, popReceipt string, body []byte, visibility time.Duration) (string, error) {
-	msg, err := xml.Marshal(queueMessageXML{MessageText: base64.StdEncoding.EncodeToString(body)})
-	if err != nil {
-		return "", err
-	}
 	resp, err := q.c.do(request{op: "Update",
 		method: http.MethodPut,
 		path:   "/queue/" + esc(name) + "/messages/" + esc(msgID),
@@ -157,7 +116,7 @@ func (q *QueueClient) Update(name, msgID, popReceipt string, body []byte, visibi
 			"popreceipt":        {popReceipt},
 			"visibilitytimeout": {strconv.Itoa(int(visibility.Seconds()))},
 		},
-		body: msg,
+		body: queuexml.EncodeMessage(body),
 	})
 	if err != nil {
 		return "", err

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
+	"strings"
 
 	"azurebench/internal/odata"
 	"azurebench/internal/tablestore"
@@ -51,21 +52,15 @@ func (t *TableClient) List() ([]string, error) {
 }
 
 func entityPath(table, pk, rk string) string {
-	return fmt.Sprintf("/table/%s(PartitionKey='%s',RowKey='%s')",
-		esc(table), keyEsc(pk), keyEsc(rk))
+	return "/table/" + esc(table) + "(PartitionKey='" + keyEsc(pk) + "',RowKey='" + keyEsc(rk) + "')"
 }
 
-// keyEsc escapes a key for the OData key syntax (quotes double).
+// keyEsc escapes a key for the OData key syntax (quotes double). Each
+// byte of invalid UTF-8 becomes one U+FFFD; strings.ToValidUTF8 would
+// fold a run of them into one.
 func keyEsc(k string) string {
-	out := ""
-	for _, r := range k {
-		if r == '\'' {
-			out += "''"
-			continue
-		}
-		out += string(r)
-	}
-	return url.PathEscape(out)
+	k = strings.Map(func(r rune) rune { return r }, k)
+	return url.PathEscape(strings.ReplaceAll(k, "'", "''"))
 }
 
 // Insert adds an entity; the stored ETag is returned.

@@ -1,7 +1,7 @@
 package storecommon
 
 import (
-	"fmt"
+	"strconv"
 	"sync/atomic"
 	"time"
 )
@@ -14,10 +14,16 @@ type ETagGen struct {
 	counter atomic.Uint64
 }
 
-// Next returns a fresh ETag incorporating now.
+// Next returns a fresh ETag incorporating now:
+// W/"datetime'<UTC time to 100 ns>';<counter>".
 func (g *ETagGen) Next(now time.Time) string {
 	n := g.counter.Add(1)
-	return fmt.Sprintf("W/\"datetime'%s';%d\"", now.UTC().Format("2006-01-02T15:04:05.0000000Z"), n)
+	var buf [64]byte
+	b := append(buf[:0], `W/"datetime'`...)
+	b = now.UTC().AppendFormat(b, "2006-01-02T15:04:05.0000000Z")
+	b = append(b, "';"...)
+	b = strconv.AppendUint(b, n, 10)
+	return string(append(b, '"'))
 }
 
 // ETagAny is the wildcard ETag: a condition of ETagAny matches any current

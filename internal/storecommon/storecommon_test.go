@@ -149,6 +149,29 @@ func TestETagGenMonotonicUnique(t *testing.T) {
 	}
 }
 
+// Next builds the tag without fmt; it must stay byte-identical to the
+// Sprintf form, which snapshots and digests carry.
+func TestETagGenMatchesSprintf(t *testing.T) {
+	times := []time.Time{
+		{},
+		time.Date(2012, 5, 21, 1, 2, 3, 0, time.UTC),
+		time.Date(2026, 10, 18, 23, 59, 59, 999999999, time.FixedZone("x", -7*3600)),
+		time.Date(1999, 12, 31, 0, 0, 0, 123456700, time.Local),
+		time.Unix(0, 1).UTC(),
+		time.Date(12345, 1, 2, 3, 4, 5, 6, time.UTC),
+	}
+	for _, start := range []uint64{0, 9, 1<<32 - 1, 1<<64 - 3} {
+		var g ETagGen
+		g.counter.Store(start)
+		for i, now := range times {
+			want := fmt.Sprintf("W/\"datetime'%s';%d\"", now.UTC().Format("2006-01-02T15:04:05.0000000Z"), start+uint64(i)+1)
+			if got := g.Next(now); got != want {
+				t.Errorf("Next(%v) after %d = %q, want %q", now, start+uint64(i), got, want)
+			}
+		}
+	}
+}
+
 func TestETagMatches(t *testing.T) {
 	if !ETagMatches("", "abc") {
 		t.Error("empty condition should match")
